@@ -8,11 +8,12 @@
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
+#   make bench-e2e-smoke # the end-to-end benchmark module's own tests (all workloads, two seeds)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-smoke serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench bench-smoke bench-e2e-smoke serve-smoke eco-smoke scale-smoke golden fuzz
 
 all: build test
 
@@ -38,6 +39,12 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# The end-to-end benchmark (mbrbench/, its own module): its tests smoke-run
+# the flow, eco and bankloop workloads on two seeds with every output check
+# on, and pin its metric lists to BENCHMARK.json.
+bench-e2e-smoke:
+	cd mbrbench && $(GO) test ./...
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every
@@ -69,3 +76,4 @@ fuzz:
 	$(GO) test ./internal/clique -fuzz FuzzParallelSubCliqueMerge -fuzztime 30s
 	$(GO) test ./internal/route -fuzz FuzzEstimateDeltaEquivalence -fuzztime 30s
 	$(GO) test ./internal/ilp -fuzz FuzzSolveCoverWarmStart -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzPlaceMBRClosedForm -fuzztime 30s

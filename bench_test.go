@@ -308,7 +308,7 @@ func BenchmarkAblationDecompose(b *testing.B) {
 }
 
 // BenchmarkComposeOnly_D1 isolates the cost of the new steps (candidate
-// enumeration + weighting + ILP + mapping + placement LP), the quantity
+// enumeration + weighting + ILP + mapping + §4.2 placement), the quantity
 // behind the paper's "Exec. Time" column. Sub-benchmarks sweep the worker
 // count of the parallel per-subgraph pipeline: workers=1 is the sequential
 // legacy path, workers=N is full fan-out; on a multi-core host the speedup

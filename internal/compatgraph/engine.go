@@ -8,9 +8,10 @@
 // nodes, insert new MBR nodes, and re-test only pairs with at least one
 // changed endpoint — candidate pairs come from a geometric grid over the
 // move regions, not an all-pairs scan. On structural overflow (or when too
-// much of the design changed for a delta to pay off) it falls back to the
-// full pairwise sweep, which is also the package's correctness oracle
-// (compat.Build).
+// much of the design changed for a delta to pay off) it falls back to a
+// full sweep that tests only pairs sharing a functional/scan signature
+// bucket; its graph equals compat.Build's all-pairs loop, the package's
+// correctness oracle.
 //
 // Exactness strategy: a node's cached data (slacks, feasible region, clock
 // position, signature) is a pure function of that register's own pins'
@@ -103,13 +104,16 @@ type Stats struct {
 	// dirty-candidate registers (vs the linear sweep over all of them).
 	NodeDeltas int
 
-	LastKind          UpdateKind
-	LastNodes         int
-	LastEdges         int
-	LastNodesAdded    int
-	LastNodesRemoved  int
-	LastNodesDirty    int // changed nodes re-tested by the last delta
-	LastPairsTested   int // pair tests evaluated by the last Update
+	LastKind         UpdateKind
+	LastNodes        int
+	LastEdges        int
+	LastNodesAdded   int
+	LastNodesRemoved int
+	LastNodesDirty   int // changed nodes re-tested by the last delta
+	// LastPairsTested counts the pairs the last Update decided: a full
+	// sweep counts all n(n−1)/2, including the cross-bucket pairs it
+	// rejects from their signatures without running the pair test.
+	LastPairsTested   int
 	LastEdgesRetested int // previously existing edges among them
 	// LastRejectsByTest counts pairs rejected by each test (functional,
 	// scan, placement, timing) in the last Update's evaluations.
@@ -632,16 +636,61 @@ func (e *Engine) SubgraphsHinted(maxNodes int) ([][]int, []bool) {
 	return out, clean
 }
 
-// fullSweep rebuilds the whole adjacency with the same double loop as
-// compat.Build, row-parallel across workers.
+// sweepKeys returns the two signature projections fullSweep buckets by:
+// fn holds exactly the fields the functional test compares, and scan adds
+// the scan test's cross-chain fields (scanned, partition). Chain and
+// ordering are zeroed, so the remaining same-bucket scan condition (same
+// chain inside ordered sections or without cross-chain moves) is left to
+// compat.PairTest.
+func sweepKeys(s compat.StaticSig) (fn, scan compat.StaticSig) {
+	s.Chain, s.Ordered = 0, false
+	scan = s
+	s.Scanned, s.Partition = false, 0
+	return s, scan
+}
+
+// fullSweep rebuilds the whole adjacency with the result of compat.Build's
+// all-pairs double loop, but runs compat.PairTest only on pairs that share
+// a scan bucket: every other pair fails the functional test (different
+// functional key) or the scan test (same functional key, different
+// scanned/partition) without looking at the pair. Those rejects are
+// counted from bucket sizes, so Stats and BoundMask read exactly as if all
+// n(n−1)/2 pairs had been tested. In-bucket rows run parallel across
+// workers.
 func (e *Engine) fullSweep(opts compat.Options, allowCross bool,
 	order []netlist.InstID, infos []*compat.RegInfo, sigs []compat.StaticSig) {
 
 	n := len(order)
+	// Group ordinals (ascending) by functional key and by scan bucket,
+	// recording each node's group, bucket and rank within both.
+	type slot struct{ fn, fnRank, bucket, rank int32 }
+	at := make([]slot, n)
+	fnOf := make(map[compat.StaticSig]int32)
+	bucketOf := make(map[compat.StaticSig]int32)
+	var fnSize []int32
+	var buckets [][]int32
+	for i, sig := range sigs {
+		fk, bk := sweepKeys(sig)
+		f, ok := fnOf[fk]
+		if !ok {
+			f = int32(len(fnSize))
+			fnOf[fk] = f
+			fnSize = append(fnSize, 0)
+		}
+		b, ok := bucketOf[bk]
+		if !ok {
+			b = int32(len(buckets))
+			bucketOf[bk] = b
+			buckets = append(buckets, nil)
+		}
+		at[i] = slot{fn: f, fnRank: fnSize[f], bucket: b, rank: int32(len(buckets[b]))}
+		fnSize[f]++
+		buckets[b] = append(buckets[b], int32(i))
+	}
+
 	rows := make([][]int32, n)   // per-row: ordinals j>i that passed
 	bound := make([]int32, n)    // per-row first-failing accumulation mask
 	rejects := make([][4]int, n) // per-row reject counts
-	pairs := make([]int, n)
 	workers := e.workers()
 	if workers > n {
 		workers = n
@@ -651,14 +700,28 @@ func (e *Engine) fullSweep(opts compat.Options, allowCross bool,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Stride over rows: row i costs n-i tests, striding balances.
+			// Stride over rows: row i costs its bucket's tail, striding
+			// balances.
 			for i := w; i < n; i += workers {
+				a := at[i]
+				members := buckets[a.bucket]
+				// Later ordinals: all, in i's functional group, in its bucket.
+				after := int32(n - 1 - i)
+				afterFn := fnSize[a.fn] - 1 - a.fnRank
+				afterBucket := int32(len(members)) - 1 - a.rank
+				if after > afterFn {
+					bound[i] |= int32(compat.TestFunctional)
+					rejects[i][testIndex(compat.TestFunctional)] += int(after - afterFn)
+				}
+				if afterFn > afterBucket {
+					bound[i] |= int32(compat.TestScan)
+					rejects[i][testIndex(compat.TestScan)] += int(afterFn - afterBucket)
+				}
 				var row []int32
-				for j := i + 1; j < n; j++ {
+				for _, j := range members[a.rank+1:] {
 					mask, ok := compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], allowCross)
-					pairs[i]++
 					if ok {
-						row = append(row, int32(j))
+						row = append(row, j)
 					} else {
 						ff := firstFailing(mask)
 						bound[i] |= int32(ff)
@@ -681,8 +744,8 @@ func (e *Engine) fullSweep(opts compat.Options, allowCross bool,
 		}
 	}
 	st := &e.stats
+	st.LastPairsTested += n * (n - 1) / 2
 	for i := range rows {
-		st.LastPairsTested += pairs[i]
 		for t := 0; t < 4; t++ {
 			st.LastRejectsByTest[t] += rejects[i][t]
 		}

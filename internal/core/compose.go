@@ -397,10 +397,7 @@ func commit(
 		})
 	}
 
-	pos, err := placeMBR(d, g, c.nodes, ordered, cell)
-	if err != nil {
-		return nil, err
-	}
+	pos := placeMBR(d, g, c.nodes, ordered, cell)
 
 	memberIDs := make([]netlist.InstID, len(ordered))
 	for i, in := range ordered {

@@ -1,21 +1,19 @@
 package core
 
 import (
-	"math"
+	"slices"
 
 	"repro/internal/compat"
 	"repro/internal/geom"
 	"repro/internal/lib"
-	"repro/internal/lp"
 	"repro/internal/netlist"
 )
 
-// placeMBR solves the §4.2 linear program: find the MBR corner position
+// placeMBR solves the §4.2 placement problem: find the MBR corner position
 // (x, y) inside the group's common timing-feasible region that minimizes
 // the total half-perimeter wirelength of the nets on the MBR's D and Q
-// pins. Pin coordinates are expressed as corner + per-bit offset of the
-// chosen cell; the max/min terms of the HPWL are linearized with helper
-// variables.
+// pins, with each pin at corner + the chosen cell's per-bit offset. The
+// paper states it as a linear program; hpwlOptimum solves it in closed form.
 //
 // ordered lists the member instances in merge order (which fixes the bit
 // assignment); it must be called before the merge, while the old registers
@@ -26,7 +24,7 @@ func placeMBR(
 	nodes []int,
 	ordered []*netlist.Inst,
 	cell *lib.Cell,
-) (geom.Point, error) {
+) geom.Point {
 	region, ok := g.GroupRegion(nodes)
 	if !ok {
 		// Should not happen for enumerated candidates; fall back to the
@@ -42,28 +40,24 @@ func placeMBR(
 		region = r
 	}
 
-	type pinJob struct {
-		off lib.PinOffset
-		box geom.Rect // bbox of the net's other pins
-	}
-	var jobs []pinJob
+	var terms []pinTerm
 	k := 0
 	for _, in := range ordered {
 		for b := 0; b < in.Bits(); b++ {
 			if dp := d.DPin(in, b); dp != nil && dp.Net != netlist.NoID {
 				if box, ok := othersBox(d, d.Net(dp.Net), dp); ok {
-					jobs = append(jobs, pinJob{off: cell.DPins[k], box: box})
+					terms = append(terms, pinTerm{off: cell.DPins[k], box: box})
 				}
 			}
 			if qp := d.QPin(in, b); qp != nil && qp.Net != netlist.NoID {
 				if box, ok := othersBox(d, d.Net(qp.Net), qp); ok {
-					jobs = append(jobs, pinJob{off: cell.QPins[k], box: box})
+					terms = append(terms, pinTerm{off: cell.QPins[k], box: box})
 				}
 			}
 			k++
 		}
 	}
-	if len(jobs) == 0 {
+	if len(terms) == 0 {
 		// No connected pins: centroid of the members, clamped.
 		var sx, sy int64
 		for _, in := range ordered {
@@ -72,40 +66,44 @@ func placeMBR(
 			sy += c.Y
 		}
 		n := int64(len(ordered))
-		return snapToGrid(d, region.ClampPoint(geom.Point{X: sx / n, Y: sy / n}), region), nil
+		return snapToGrid(d, region.ClampPoint(geom.Point{X: sx / n, Y: sy / n}), region)
 	}
+	return snapToGrid(d, hpwlOptimum(terms, region), region)
+}
 
-	prob := lp.New(lp.Minimize)
-	x := prob.AddVar(float64(region.Lo.X), float64(region.Hi.X), 0, "x")
-	y := prob.AddVar(float64(region.Lo.Y), float64(region.Hi.Y), 0, "y")
-	negInf, posInf := math.Inf(-1), math.Inf(1)
-	for _, j := range jobs {
-		hx := prob.AddVar(negInf, posInf, 1, "hx")
-		lx := prob.AddVar(negInf, posInf, -1, "lx")
-		hy := prob.AddVar(negInf, posInf, 1, "hy")
-		ly := prob.AddVar(negInf, posInf, -1, "ly")
-		// hx ≥ box.Hi.X ; hx ≥ x + dx  (so hx = max at optimum)
-		prob.AddConstraint([]lp.Term{{Var: hx, Coef: 1}}, lp.GE, float64(j.box.Hi.X))
-		prob.AddConstraint([]lp.Term{{Var: hx, Coef: 1}, {Var: x, Coef: -1}}, lp.GE, float64(j.off.DX))
-		// lx ≤ box.Lo.X ; lx ≤ x + dx
-		prob.AddConstraint([]lp.Term{{Var: lx, Coef: 1}}, lp.LE, float64(j.box.Lo.X))
-		prob.AddConstraint([]lp.Term{{Var: lx, Coef: 1}, {Var: x, Coef: -1}}, lp.LE, float64(j.off.DX))
-		prob.AddConstraint([]lp.Term{{Var: hy, Coef: 1}}, lp.GE, float64(j.box.Hi.Y))
-		prob.AddConstraint([]lp.Term{{Var: hy, Coef: 1}, {Var: y, Coef: -1}}, lp.GE, float64(j.off.DY))
-		prob.AddConstraint([]lp.Term{{Var: ly, Coef: 1}}, lp.LE, float64(j.box.Lo.Y))
-		prob.AddConstraint([]lp.Term{{Var: ly, Coef: 1}, {Var: y, Coef: -1}}, lp.LE, float64(j.off.DY))
+// pinTerm is one connected MBR pin: its offset from the cell corner and the
+// bounding box of the other pins on its net.
+type pinTerm struct {
+	off lib.PinOffset
+	box geom.Rect
+}
+
+// hpwlOptimum returns a corner position in region minimizing the summed
+// HPWL of the terms' nets. The objective separates into x and y. Along x,
+// a pin at x+dx on a net whose other pins span [lo, hi] adds
+//
+//	max(hi, x+dx) − min(lo, x+dx) = ½(|x−(lo−dx)| + |x−(hi−dx)|) + ½(hi−lo),
+//
+// so minimizing the sum is minimizing the distance to the 2n breakpoints
+// lo−dx and hi−dx. Every point of their median interval is optimal, and by
+// convexity clamping into the region keeps it optimal there. The midpoint
+// of the interval is the fixed tie-break.
+func hpwlOptimum(terms []pinTerm, region geom.Rect) geom.Point {
+	xs := make([]int64, 0, 2*len(terms))
+	ys := make([]int64, 0, 2*len(terms))
+	for _, t := range terms {
+		xs = append(xs, t.box.Lo.X-t.off.DX, t.box.Hi.X-t.off.DX)
+		ys = append(ys, t.box.Lo.Y-t.off.DY, t.box.Hi.Y-t.off.DY)
 	}
-	sol, err := prob.Solve()
-	if err != nil {
-		return geom.Point{}, err
-	}
-	if sol.Status != lp.Optimal {
-		// Degenerate region (single point) can surface as numerically odd;
-		// fall back to the region corner.
-		return snapToGrid(d, region.Lo, region), nil
-	}
-	p := geom.Point{X: int64(math.Round(sol.X[x])), Y: int64(math.Round(sol.X[y]))}
-	return snapToGrid(d, region.ClampPoint(p), region), nil
+	return region.ClampPoint(geom.Point{X: medianMid(xs), Y: medianMid(ys)})
+}
+
+// medianMid returns the midpoint (rounded down) of the median interval of an
+// even-length list of breakpoints; it reorders bp.
+func medianMid(bp []int64) int64 {
+	slices.Sort(bp)
+	lo, hi := bp[len(bp)/2-1], bp[len(bp)/2]
+	return lo + (hi-lo)/2
 }
 
 // othersBox returns the bounding box of the net's pins excluding excl.

@@ -122,8 +122,8 @@ func (f FuncClass) Key() string {
 }
 
 // PinOffset is a pin's placement offset from the cell's lower-left corner,
-// in database units. The MBR placement LP (§4.2) references pin coordinates
-// as cell corner + offset.
+// in database units. MBR placement (§4.2) references pin coordinates as cell
+// corner + offset.
 type PinOffset struct {
 	DX, DY int64
 }

@@ -6,8 +6,7 @@
 // per-variable bounds (including free and semi-bounded variables, which are
 // handled by shifting and variable splitting). It is sized for the problems
 // that appear in MBR composition: set-partitioning LP relaxations with tens
-// of rows and up to a few thousand columns, and tiny wirelength-minimization
-// placement LPs.
+// of rows and up to a few thousand columns.
 package lp
 
 import (

@@ -7,6 +7,7 @@ package scan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lib"
@@ -166,18 +167,28 @@ func (p *Plan) ApplyMerge(group []netlist.InstID, mbr netlist.InstID) error {
 	if _, _, scanned := p.ChainOf(group[0]); !scanned {
 		return nil // unscanned group: nothing to track
 	}
-	// Find the anchor: lowest (chain, pos) among members.
+	// Find the anchor, the lowest (chain, pos) among members, and the
+	// chains the group touches: only those are rewritten and re-indexed,
+	// so a merge costs O(touched chain length), not O(registers in the plan).
 	anchor := Ref{Chain: 1 << 30, Pos: 1 << 30}
-	inGroup := map[netlist.InstID]bool{}
+	inGroup := make(map[netlist.InstID]bool, len(group))
+	var touched []int
 	for _, id := range group {
 		inGroup[id] = true
 		r := p.ref[id]
 		if r.Chain < anchor.Chain || (r.Chain == anchor.Chain && r.Pos < anchor.Pos) {
 			anchor = r
 		}
+		if !slices.Contains(touched, r.Chain) {
+			touched = append(touched, r.Chain)
+		}
 	}
-	for ci, c := range p.chains {
-		var kept []netlist.InstID
+	for _, id := range group {
+		delete(p.ref, id)
+	}
+	for _, ci := range touched {
+		c := p.chains[ci]
+		kept := make([]netlist.InstID, 0, len(c.Regs))
 		for pos, id := range c.Regs {
 			if ci == anchor.Chain && pos == anchor.Pos {
 				kept = append(kept, mbr)
@@ -187,17 +198,16 @@ func (p *Plan) ApplyMerge(group []netlist.InstID, mbr netlist.InstID) error {
 			}
 		}
 		c.Regs = kept
+		p.indexFrom(ci, 0)
 	}
-	p.reindex()
 	return nil
 }
 
-func (p *Plan) reindex() {
-	p.ref = map[netlist.InstID]Ref{}
-	for ci, c := range p.chains {
-		for pos, id := range c.Regs {
-			p.ref[id] = Ref{Chain: ci, Pos: pos}
-		}
+// indexFrom points the refs of chain ci's registers at positions ≥ from.
+func (p *Plan) indexFrom(ci, from int) {
+	regs := p.chains[ci].Regs
+	for pos := from; pos < len(regs); pos++ {
+		p.ref[regs[pos]] = Ref{Chain: ci, Pos: pos}
 	}
 }
 
@@ -258,17 +268,22 @@ func findScanOut(d *netlist.Design, in *netlist.Inst) *netlist.Pin {
 }
 
 // Validate checks internal consistency: no register on two chains, every
-// reference resolvable in the design (when d is non-nil).
+// chain register indexed at its exact position, no stale index entries, and
+// every reference resolvable in the design (when d is non-nil).
 func (p *Plan) Validate(d *netlist.Design) error {
 	seen := map[netlist.InstID]int{}
 	for ci, c := range p.chains {
-		for _, id := range c.Regs {
+		for pos, id := range c.Regs {
 			if prev, dup := seen[id]; dup {
 				return fmt.Errorf("scan: register %d on chains %d and %d", id, prev, ci)
 			}
 			seen[id] = ci
 			if d != nil && d.Inst(id) == nil {
 				return fmt.Errorf("scan: chain %d references dead instance %d", ci, id)
+			}
+			if r, ok := p.ref[id]; !ok || r != (Ref{Chain: ci, Pos: pos}) {
+				return fmt.Errorf("scan: register %d at chain %d pos %d has ref %+v (indexed %v)",
+					id, ci, pos, r, ok)
 			}
 		}
 	}
