@@ -10,6 +10,7 @@
 #   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
 #   make bench-e2e-smoke # the end-to-end benchmark module's own tests (all workloads, two seeds)
 #   make golden     # regenerate flow golden files after an intended change
+#   make fuzz       # every fuzz target for FUZZTIME (default 30s) each
 
 GO ?= go
 
@@ -71,9 +72,13 @@ scale-smoke:
 golden:
 	$(GO) test ./internal/flow -run TestGolden -update
 
+# Every fuzz target for FUZZTIME each (CI's fuzz-smoke job runs 10s).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test ./internal/clique -fuzz FuzzEnumerateSubCliques -fuzztime 30s
-	$(GO) test ./internal/clique -fuzz FuzzParallelSubCliqueMerge -fuzztime 30s
-	$(GO) test ./internal/route -fuzz FuzzEstimateDeltaEquivalence -fuzztime 30s
-	$(GO) test ./internal/ilp -fuzz FuzzSolveCoverWarmStart -fuzztime 30s
-	$(GO) test ./internal/core -fuzz FuzzPlaceMBRClosedForm -fuzztime 30s
+	$(GO) test ./internal/clique -fuzz FuzzEnumerateSubCliques -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/clique -fuzz FuzzParallelSubCliqueMerge -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/route -fuzz FuzzEstimateDeltaEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ilp -fuzz FuzzSolveCoverWarmStart -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzPlaceMBRClosedForm -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netlist -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)

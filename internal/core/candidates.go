@@ -50,40 +50,49 @@ func newRegIndex(d *netlist.Design) *regIndex {
 	return idx
 }
 
-// inBox calls f for every register center inside bb.
-func (ri *regIndex) inBox(bb geom.Rect, f func(id netlist.InstID, p geom.Point)) {
+// inBox calls f for every register center inside bb, in (X, instance ID)
+// order, until f returns false.
+func (ri *regIndex) inBox(bb geom.Rect, f func(id netlist.InstID, p geom.Point) bool) {
 	lo := sort.Search(len(ri.xs), func(i int) bool { return ri.xs[i] >= bb.Lo.X })
 	for i := lo; i < len(ri.xs) && ri.xs[i] <= bb.Hi.X; i++ {
-		if p := ri.pts[i]; p.Y >= bb.Lo.Y && p.Y <= bb.Hi.Y {
-			f(ri.ids[i], p)
+		if p := ri.pts[i]; p.Y >= bb.Lo.Y && p.Y <= bb.Hi.Y && !f(ri.ids[i], p) {
+			return
 		}
 	}
 }
 
 // blockerCount computes n_i for a candidate: registers (by center) inside
 // the convex hull of the members' footprint corners, excluding the members
-// themselves.
-func blockerCount(g *compat.Graph, ri *regIndex, nodes []int) int {
-	var corners []geom.Point
-	member := map[netlist.InstID]bool{}
+// themselves. A positive limit stops the count there: with the §3.2
+// weights on, a candidate with n ≥ b is dropped whatever n is, so counting
+// up to b leaves every kept candidate's n exact.
+func blockerCount(g *compat.Graph, ri *regIndex, nodes []int, limit int) int {
+	var cornerBuf [64]geom.Point
+	corners := cornerBuf[:0]
 	for _, n := range nodes {
-		in := regOf(g, n)
-		member[in.ID] = true
-		c := in.Bounds().Corners()
+		c := regOf(g, n).Bounds().Corners()
 		corners = append(corners, c[:]...)
 	}
 	hull := geom.ConvexHull(corners)
 	bb := geom.BoundingBox(hull)
 	count := 0
-	ri.inBox(bb, func(id netlist.InstID, p geom.Point) {
-		if member[id] {
-			return
-		}
-		if geom.PolygonContains(hull, p) {
+	ri.inBox(bb, func(id netlist.InstID, p geom.Point) bool {
+		if !isMember(g, nodes, id) && geom.PolygonContains(hull, p) {
 			count++
 		}
+		return limit <= 0 || count < limit
 	})
 	return count
+}
+
+// isMember reports whether the register is one of the candidate's nodes.
+func isMember(g *compat.Graph, nodes []int, id netlist.InstID) bool {
+	for _, n := range nodes {
+		if regOf(g, n).ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // weightOf implements the §3.2 weight:
@@ -294,7 +303,11 @@ func evalMulti(
 	if incomplete && !incompleteAreaOK(d, g, global, class, width, total, opts) {
 		return candidate{}, false
 	}
-	blockers := blockerCount(g, ri, global)
+	limit := 0
+	if opts.UseWeights {
+		limit = total
+	}
+	blockers := blockerCount(g, ri, global, limit)
 	w := 1.0
 	if opts.UseWeights {
 		var keep bool

@@ -76,13 +76,13 @@ func TestBlockerCount(t *testing.T) {
 	g := exampleGraph(d, regs)
 	ri := newRegIndex(d)
 	idx := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3, "E": 4, "F": 5}
-	if n := blockerCount(g, ri, []int{idx["B"], idx["C"]}); n != 1 {
+	if n := blockerCount(g, ri, []int{idx["B"], idx["C"]}, 0); n != 1 {
 		t.Fatalf("BC blockers = %d want 1 (D)", n)
 	}
-	if n := blockerCount(g, ri, []int{idx["A"], idx["B"], idx["C"], idx["D"]}); n != 0 {
+	if n := blockerCount(g, ri, []int{idx["A"], idx["B"], idx["C"], idx["D"]}, 0); n != 0 {
 		t.Fatalf("ABCD blockers = %d want 0", n)
 	}
-	if n := blockerCount(g, ri, []int{idx["A"], idx["E"]}); n != 0 {
+	if n := blockerCount(g, ri, []int{idx["A"], idx["E"]}, 0); n != 0 {
 		t.Fatalf("AE blockers = %d want 0", n)
 	}
 }

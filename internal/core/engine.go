@@ -594,12 +594,13 @@ func subgraphSig(g *compat.Graph, ri *regIndex, nodes []int) string {
 	cnt := int64(0)
 	if len(nodes) > 0 {
 		var ee [24]byte
-		ri.inBox(bb, func(id netlist.InstID, p geom.Point) {
+		ri.inBox(bb, func(id netlist.InstID, p geom.Point) bool {
 			binary.LittleEndian.PutUint64(ee[0:8], uint64(id))
 			binary.LittleEndian.PutUint64(ee[8:16], uint64(p.X))
 			binary.LittleEndian.PutUint64(ee[16:24], uint64(p.Y))
 			buf = append(buf, ee[:]...)
 			cnt++
+			return true
 		})
 	}
 	binary.LittleEndian.PutUint64(buf[marker:marker+8], uint64(cnt))

@@ -7,7 +7,22 @@ import (
 	"repro/internal/lib"
 )
 
+// newInst creates an instance and records its creation as an edit: without
+// that, an instance that is added but never connected (or whose creation-
+// time parameters matter, like the position) would be invisible to
+// TouchedSince consumers.
 func (d *Design) newInst(name string, kind InstKind, pos geom.Point) (*Inst, error) {
+	in, err := d.addInst(name, kind, pos)
+	if err != nil {
+		return nil, err
+	}
+	d.noteTouch(in.ID)
+	return in, nil
+}
+
+// addInst creates an instance without recording an edit; bulk
+// construction records one edit for the whole design instead.
+func (d *Design) addInst(name string, kind InstKind, pos geom.Point) (*Inst, error) {
 	if _, dup := d.nameToInst[name]; dup {
 		if old := d.InstByName(name); old != nil {
 			return nil, fmt.Errorf("netlist: duplicate instance name %q", name)
@@ -19,10 +34,6 @@ func (d *Design) newInst(name string, kind InstKind, pos geom.Point) (*Inst, err
 	}
 	d.insts = append(d.insts, in)
 	d.nameToInst[name] = in.ID
-	// Creation is an edit too: without this, an instance that is added but
-	// never connected (or whose creation-time parameters matter, like the
-	// position) would be invisible to TouchedSince consumers.
-	d.noteTouch(in.ID)
 	return in, nil
 }
 
@@ -63,11 +74,13 @@ func (d *Design) AddClockGate(name string, spec *CombSpec, pos geom.Point) (*Ins
 }
 
 func (d *Design) addCombPins(in *Inst, spec *CombSpec) {
+	first := len(d.pins)
 	for i := 0; i < spec.NumInputs; i++ {
 		off := lib.PinOffset{DX: spec.Width * int64(2*i+1) / int64(2*spec.NumInputs+2), DY: spec.Height / 4}
 		d.addPin(in, DirIn, PinData, off, i, spec.InCap)
 	}
 	d.addPin(in, DirOut, PinOut, lib.PinOffset{DX: spec.Width, DY: spec.Height / 2}, 0, 0)
+	d.listPins(in, first)
 }
 
 // AddPort adds a fixed I/O port instance with a single pin of the given
@@ -78,12 +91,17 @@ func (d *Design) AddPort(name string, isInput bool, pos geom.Point) (*Inst, erro
 		return nil, err
 	}
 	in.Fixed = true
+	d.addPortPin(in, isInput)
+	return in, nil
+}
+
+func (d *Design) addPortPin(in *Inst, isInput bool) {
 	dir := DirIn
 	if isInput {
 		dir = DirOut
 	}
 	d.addPin(in, dir, PinData, lib.PinOffset{}, 0, 1.0)
-	return in, nil
+	d.listPins(in, len(d.pins)-1)
 }
 
 // AddRegister adds a register instance of the given library cell at pos.
@@ -98,6 +116,13 @@ func (d *Design) AddRegister(name string, cell *lib.Cell, pos geom.Point) (*Inst
 		return nil, err
 	}
 	in.RegCell = cell
+	d.addRegPins(in, cell)
+	return in, nil
+}
+
+// addRegPins creates a register's pins in the order its cell defines.
+func (d *Design) addRegPins(in *Inst, cell *lib.Cell) {
+	first := len(d.pins)
 	for b := 0; b < cell.Bits; b++ {
 		d.addPin(in, DirIn, PinData, cell.DPins[b], b, cell.DPinCap)
 	}
@@ -123,7 +148,7 @@ func (d *Design) AddRegister(name string, cell *lib.Cell, pos geom.Point) (*Inst
 		}
 		d.addPin(in, DirIn, PinScanEnable, lib.PinOffset{DX: 0, DY: cell.Height / 5}, 0, cell.DPinCap)
 	}
-	return in, nil
+	d.listPins(in, first)
 }
 
 // FindPin returns the first pin of the instance with the given kind and

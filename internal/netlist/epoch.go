@@ -242,6 +242,22 @@ func (d *Design) noteTouch(inst InstID) {
 	e.rings[e.class].push(touchedEntry{epoch: e.epoch, inst: inst}, e.ringCap())
 }
 
+// noteLoad records a bulk construction — the design reader's — as one
+// structural and one clock edit of the whole design. No ring entry names
+// an instance: every ring restarts at the new epoch, so a cursor from
+// before the load reads as incomplete and its holder rebuilds, exactly as
+// after a ring overflow.
+func (d *Design) noteLoad() {
+	e := &d.edits
+	e.epoch++
+	e.structuralEpoch = e.epoch
+	e.epoch++
+	e.clockEpoch = e.epoch
+	for i := range e.rings {
+		e.rings[i].clear(e.epoch)
+	}
+}
+
 // noteStructural records a data-path connectivity edit at the instance.
 func (d *Design) noteStructural(inst InstID) {
 	d.noteTouch(inst)

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,12 +107,52 @@ func (d *Design) pinRef(id PinID) *jsonPinRef {
 }
 
 // ReadJSON reconstructs a design. The library must contain every register
-// cell the design references.
+// cell the design references. It accepts exactly the documents
+// encoding/json's streaming decoder accepts for this format (see
+// decodeDesign), then rejects, with an error, any connectivity a design
+// cannot have: a reference to a missing instance or pin, a pin listed
+// twice, a driver that is an input pin, a sink that is an output pin, a
+// second driver.
 func ReadJSON(r io.Reader, library *lib.Library) (*Design, error) {
-	var jd jsonDesign
-	if err := json.NewDecoder(r).Decode(&jd); err != nil {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("netlist: read: %w", err)
+	}
+	jd, err := decodeDesign(data)
+	if err != nil {
 		return nil, fmt.Errorf("netlist: decode: %w", err)
 	}
+	d, err := buildDesign(jd, library)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("netlist: loaded design invalid: %w", err)
+	}
+	return d, nil
+}
+
+// readAll reads r to its end, sizing the buffer once when r knows its
+// length (bytes.Reader, strings.Reader, bytes.Buffer) instead of growing it
+// through a series of copies.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// maxCombInputs bounds a comb spec's input count: far above any real cell,
+// low enough that a corrupt document cannot make the loader allocate
+// without bound.
+const maxCombInputs = 64
+
+// buildDesign constructs the design in bulk: the instance, pin, net and
+// name tables are sized up front, pins are attached without per-pin edit
+// bookkeeping, and the whole load is recorded as one edit at the end.
+func buildDesign(jd *jsonDesign, library *lib.Library) (*Design, error) {
 	core := geom.Rect{
 		Lo: geom.Point{X: jd.Core[0], Y: jd.Core[1]},
 		Hi: geom.Point{X: jd.Core[2], Y: jd.Core[3]},
@@ -121,79 +162,107 @@ func ReadJSON(r io.Reader, library *lib.Library) (*Design, error) {
 	d.RowH = jd.RowH
 	d.Timing = jd.Timing
 
-	combByName := map[string]*CombSpec{}
+	combByName := make(map[string]*CombSpec, len(jd.Combs))
 	for _, c := range jd.Combs {
+		if c == nil {
+			return nil, fmt.Errorf("netlist: null comb spec")
+		}
+		if c.NumInputs < 0 || c.NumInputs > maxCombInputs {
+			return nil, fmt.Errorf("netlist: comb spec %q has %d inputs", c.Name, c.NumInputs)
+		}
 		combByName[c.Name] = c
 	}
-	for _, ji := range jd.Insts {
-		pos := geom.Point{X: ji.X, Y: ji.Y}
-		var in *Inst
-		var err error
-		switch InstKind(ji.Kind) {
+	cellByName := map[string]*lib.Cell{}
+	d.insts = make([]*Inst, 0, len(jd.Insts))
+	d.nets = make([]*Net, 0, len(jd.Nets))
+	d.nameToInst = make(map[string]InstID, len(jd.Insts))
+	refs := 0 // a valid document references each connected pin once
+	for i := range jd.Nets {
+		refs += len(jd.Nets[i].Sinks) + 1
+	}
+	d.pins = make([]*Pin, 0, refs)
+	for i := range jd.Insts {
+		ji := &jd.Insts[i]
+		kind := InstKind(ji.Kind)
+		var cell *lib.Cell
+		var spec *CombSpec
+		switch kind {
 		case KindReg:
-			cell := d.Lib.CellByName(ji.Cell)
+			cell = cellByName[ji.Cell]
 			if cell == nil {
-				return nil, fmt.Errorf("netlist: unknown register cell %q", ji.Cell)
+				if cell = d.Lib.CellByName(ji.Cell); cell == nil {
+					return nil, fmt.Errorf("netlist: unknown register cell %q", ji.Cell)
+				}
+				cellByName[ji.Cell] = cell
 			}
-			in, err = d.AddRegister(ji.Name, cell, pos)
-		case KindComb:
-			spec := combByName[ji.Comb]
-			if spec == nil {
+		case KindComb, KindClockBuf, KindClockGate:
+			if spec = combByName[ji.Comb]; spec == nil {
 				return nil, fmt.Errorf("netlist: unknown comb spec %q", ji.Comb)
 			}
-			in, err = d.AddComb(ji.Name, spec, pos)
-		case KindClockBuf:
-			spec := combByName[ji.Comb]
-			if spec == nil {
-				return nil, fmt.Errorf("netlist: unknown comb spec %q", ji.Comb)
-			}
-			in, err = d.AddClockBuf(ji.Name, spec, pos)
-		case KindClockGate:
-			spec := combByName[ji.Comb]
-			if spec == nil {
-				return nil, fmt.Errorf("netlist: unknown comb spec %q", ji.Comb)
-			}
-			in, err = d.AddClockGate(ji.Name, spec, pos)
 		case KindPort:
-			in, err = d.AddPort(ji.Name, ji.IsInput, pos)
 		default:
 			return nil, fmt.Errorf("netlist: unknown instance kind %d", ji.Kind)
 		}
+		in, err := d.addInst(ji.Name, kind, geom.Point{X: ji.X, Y: ji.Y})
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case cell != nil:
+			in.RegCell = cell
+			d.addRegPins(in, cell)
+		case spec != nil:
+			in.Comb = spec
+			d.addCombPins(in, spec)
+		default:
+			d.addPortPin(in, ji.IsInput)
 		}
 		in.Fixed = ji.Fixed
 		in.SizeOnly = ji.SizeOnly
 		in.GateGroup = ji.Gate
 		in.ScanPartition = ji.ScanPart
 	}
-	for _, jn := range jd.Nets {
+	for i := range jd.Nets {
+		jn := &jd.Nets[i]
 		n := d.AddNet(jn.Name, jn.IsClock)
-		connect := func(ref jsonPinRef) error {
-			in := d.InstByName(ref.Inst)
-			if in == nil {
-				return fmt.Errorf("netlist: net %q references unknown instance %q", jn.Name, ref.Inst)
-			}
-			p := d.FindPin(in, PinKind(ref.Kind), ref.Bit)
-			if p == nil {
-				return fmt.Errorf("netlist: net %q: no pin %d/%d on %q", jn.Name, ref.Kind, ref.Bit, ref.Inst)
-			}
-			d.Connect(p, n)
-			return nil
-		}
+		n.Sinks = make([]PinID, 0, len(jn.Sinks))
 		if jn.Driver != nil {
-			if err := connect(*jn.Driver); err != nil {
+			if err := d.loadPin(n, jn.Driver, DirOut); err != nil {
 				return nil, err
 			}
 		}
-		for _, s := range jn.Sinks {
-			if err := connect(s); err != nil {
+		for k := range jn.Sinks {
+			if err := d.loadPin(n, &jn.Sinks[k], DirIn); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("netlist: loaded design invalid: %w", err)
-	}
+	d.noteLoad()
 	return d, nil
+}
+
+// loadPin resolves a pin reference of net n and attaches the pin in the
+// role the document gives it, rejecting what Connect would panic on or
+// silently rewire.
+func (d *Design) loadPin(n *Net, ref *jsonPinRef, role PinDir) error {
+	id, ok := d.nameToInst[ref.Inst]
+	if !ok {
+		return fmt.Errorf("netlist: net %q references unknown instance %q", n.Name, ref.Inst)
+	}
+	p := d.FindPin(d.insts[id], PinKind(ref.Kind), ref.Bit)
+	switch {
+	case p == nil:
+		return fmt.Errorf("netlist: net %q: no pin %d/%d on %q", n.Name, ref.Kind, ref.Bit, ref.Inst)
+	case p.Net != NoID:
+		return fmt.Errorf("netlist: net %q: pin %d/%d on %q is already on net %q",
+			n.Name, ref.Kind, ref.Bit, ref.Inst, d.nets[p.Net].Name)
+	case p.Dir == DirOut && n.Driver != NoID:
+		return fmt.Errorf("netlist: net %q has two drivers", n.Name)
+	case p.Dir != role && role == DirOut:
+		return fmt.Errorf("netlist: net %q: driver pin %d/%d on %q is an input", n.Name, ref.Kind, ref.Bit, ref.Inst)
+	case p.Dir != role:
+		return fmt.Errorf("netlist: net %q: sink pin %d/%d on %q is an output", n.Name, ref.Kind, ref.Bit, ref.Inst)
+	}
+	d.attach(p, n)
+	return nil
 }

@@ -363,15 +363,22 @@ func (d *Design) AddNet(name string, isClock bool) *Net {
 	return n
 }
 
-// addPin creates a pin on an instance.
-func (d *Design) addPin(in *Inst, dir PinDir, kind PinKind, off lib.PinOffset, bit int, cap float64) *Pin {
-	p := &Pin{
+// addPin creates a pin of an instance. An instance's pins are created in
+// one run, which listPins then records on the instance.
+func (d *Design) addPin(in *Inst, dir PinDir, kind PinKind, off lib.PinOffset, bit int, cap float64) {
+	d.pins = append(d.pins, &Pin{
 		ID: PinID(len(d.pins)), Inst: in.ID, Net: NoID,
 		Dir: dir, Kind: kind, Offset: off, Bit: bit, Cap: cap,
+	})
+}
+
+// listPins sets the instance's pin list to the pins created from ID first
+// on, in one exact allocation.
+func (d *Design) listPins(in *Inst, first int) {
+	in.Pins = make([]PinID, len(d.pins)-first)
+	for i := range in.Pins {
+		in.Pins[i] = PinID(first + i)
 	}
-	d.pins = append(d.pins, p)
-	in.Pins = append(in.Pins, p.ID)
-	return p
 }
 
 // Connect attaches pin p to net n, detaching it from any previous net.
@@ -379,6 +386,18 @@ func (d *Design) Connect(p *Pin, n *Net) {
 	if p.Net != NoID {
 		d.Disconnect(p)
 	}
+	d.attach(p, n)
+	if n.IsClock {
+		d.noteClock(p.Inst)
+	} else {
+		d.noteStructural(p.Inst)
+		d.noteNetMembers(n, p.ID)
+	}
+}
+
+// attach puts the unconnected pin p on net n, as its driver when p is an
+// output, without recording the edit.
+func (d *Design) attach(p *Pin, n *Net) {
 	p.Net = n.ID
 	if p.Dir == DirOut {
 		if n.Driver != NoID {
@@ -387,12 +406,6 @@ func (d *Design) Connect(p *Pin, n *Net) {
 		n.Driver = p.ID
 	} else {
 		n.Sinks = append(n.Sinks, p.ID)
-	}
-	if n.IsClock {
-		d.noteClock(p.Inst)
-	} else {
-		d.noteStructural(p.Inst)
-		d.noteNetMembers(n, p.ID)
 	}
 }
 

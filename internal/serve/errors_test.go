@@ -80,6 +80,24 @@ func TestHTTPErrorCodes(t *testing.T) {
 		t.Fatalf("bad create envelope %+v", we)
 	}
 
+	// validation: a raw design whose net has two drivers is a load error,
+	// not a handler panic, and leaves its name free for the next create.
+	twoDrivers := json.RawMessage(`{"name":"bad","core":[0,0,10000,10000],` +
+		`"insts":[{"name":"a","kind":2,"isInput":true},{"name":"b","kind":2,"isInput":true}],` +
+		`"nets":[{"name":"n","driver":{"inst":"a","kind":0,"bit":0},"sinks":[{"inst":"b","kind":0,"bit":0}]}]}`)
+	badDesign, _ := json.Marshal(CreateRequest{Name: "s1", Source: Source{Design: twoDrivers}})
+	code, body = do(http.MethodPost, "/v1/sessions", badDesign)
+	if code != http.StatusBadRequest {
+		t.Fatalf("two-driver design create = %d, want 400", code)
+	}
+	if we := decodeWireError(t, body); we.Code != wire.CodeValidation || we.Op != "create" {
+		t.Fatalf("two-driver design envelope %+v", we)
+	}
+	goodCreate, _ := json.Marshal(CreateRequest{Name: "s1", Source: testSource(), Config: SessionConfig{Workers: 1}})
+	if code, body = do(http.MethodPost, "/v1/sessions", goodCreate); code/100 != 2 {
+		t.Fatalf("create after a rejected design = %d: %s", code, body)
+	}
+
 	// validation on the new endpoint: a zero decompose config selects no
 	// victims.
 	if _, err := m.Create("dz", testSource(), SessionConfig{Workers: 1}); err != nil {

@@ -133,15 +133,25 @@ func (m *Manager) install(name string, build func() (*Session, error)) (*Session
 	}
 	m.creating[name] = true
 	m.mu.Unlock()
+	// The reservation is released on every exit, a failed or panicking
+	// build included: one left behind would refuse the name forever.
+	registered := false
+	defer func() {
+		if !registered {
+			m.mu.Lock()
+			delete(m.creating, name)
+			m.mu.Unlock()
+		}
+	}()
 
 	s, err := build()
+	if err != nil {
+		return nil, err
+	}
 
 	m.mu.Lock()
 	delete(m.creating, name)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
+	registered = true
 	m.sessions[name] = s
 	s.elem = m.lru.PushFront(s)
 	var victims []*Session

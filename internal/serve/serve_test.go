@@ -335,3 +335,23 @@ func TestSourceValidation(t *testing.T) {
 		t.Fatalf("failed creates leaked: %d", got)
 	}
 }
+
+// TestInstallReleasesNameAfterPanic: a builder that panics must not leave
+// its name reserved — a later create of the same name has to succeed.
+func TestInstallReleasesNameAfterPanic(t *testing.T) {
+	m := NewManager(Options{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("build panic was swallowed")
+			}
+		}()
+		m.install("s1", func() (*Session, error) { panic("build blew up") })
+	}()
+	if _, err := m.Create("s1", testSource(), SessionConfig{Workers: 1}); err != nil {
+		t.Fatalf("create after a panicking build: %v", err)
+	}
+	if got := m.Names(); len(got) != 1 || got[0] != "s1" {
+		t.Fatalf("live sessions %v, want [s1]", got)
+	}
+}
