@@ -82,3 +82,4 @@ fuzz:
 	$(GO) test ./internal/ilp -fuzz FuzzSolveCoverWarmStart -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzPlaceMBRClosedForm -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cts -fuzz FuzzClusterSinks -fuzztime $(FUZZTIME)

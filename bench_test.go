@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -1152,5 +1153,102 @@ func BenchmarkBankDebankLoop(b *testing.B) {
 	}
 	if err := os.WriteFile("BENCH_eco.json", append(enc, '\n'), 0o644); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkSessionMeasure_ECO times the composition server's steady eco
+// op on one D1 session (Scale 5, the size the end-to-end eco workload
+// serves): a 10-edit batch — skews within ±40 ps plus at most one move
+// (±400 DBU around the register's original position) or same-width resize
+// — over a 16-register neighbourhood at the core centre, then a Measure.
+// The session runs the server's eco engine settings (one worker, 4000 DBU
+// clock-tree re-centre hysteresis, compat delta threshold 0.5). ns/op,
+// B/op and allocs/op are per batch+measure op; every op must stay on the
+// retained engines' delta paths.
+func BenchmarkSessionMeasure_ECO(b *testing.B) {
+	gen, err := bench.Generate(bench.D1(bench.ProfileOpts{Scale: 5}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := flow.DefaultConfig()
+	cfg.Workers = 1
+	cfg.CTS.Tree.RecenterThresholdDBU = 4000
+	cfg.Compat.MaxDeltaFrac = 0.5
+	s, err := flow.NewSession(gen.Design, gen.Plan, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	d := s.Design()
+
+	type poolReg struct {
+		name  string
+		pos   geom.Point
+		cells []string
+	}
+	regs := d.Registers()
+	centre := geom.Point{X: (d.Core.Lo.X + d.Core.Hi.X) / 2, Y: (d.Core.Lo.Y + d.Core.Hi.Y) / 2}
+	sort.SliceStable(regs, func(i, j int) bool {
+		return regs[i].Pos.ManhattanDist(centre) < regs[j].Pos.ManhattanDist(centre)
+	})
+	var pool []poolReg
+	for _, r := range regs {
+		if r.Fixed || r.SizeOnly {
+			continue
+		}
+		pr := poolReg{name: r.Name, pos: r.Pos}
+		for _, c := range d.Lib.CellsOfWidth(r.RegCell.Class, r.RegCell.Bits) {
+			pr.cells = append(pr.cells, c.Name)
+		}
+		if pool = append(pool, pr); len(pool) == 16 {
+			break
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	batch := func() []flow.Edit {
+		edits := make([]flow.Edit, 0, 10)
+		one := rng.Intn(10) // position of the batch's one move/resize
+		for e := 0; e < 10; e++ {
+			r := pool[rng.Intn(len(pool))]
+			switch {
+			case e == one && rng.Intn(2) == 0:
+				edits = append(edits, flow.MoveTo(r.name,
+					r.pos.X+int64(rng.Intn(801)-400), r.pos.Y+int64(rng.Intn(801)-400)))
+			case e == one && len(r.cells) > 1:
+				edits = append(edits, flow.Resize(r.name, r.cells[rng.Intn(len(r.cells))]))
+			default:
+				edits = append(edits, flow.Skew(r.name, float64(rng.Intn(81)-40)))
+			}
+		}
+		return edits
+	}
+	if _, err := s.Measure(); err != nil {
+		b.Fatal(err)
+	}
+	rebuilds := func() int {
+		n := 0
+		for _, sum := range s.Engines() {
+			n += sum.Rebuilds
+		}
+		return n
+	}
+	batches := make([][]flow.Edit, b.N)
+	for i := range batches {
+		batches[i] = batch()
+	}
+	base := rebuilds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, edits := range batches {
+		if _, err := s.Apply(edits); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Measure(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := rebuilds() - base; n != 0 {
+		b.Fatalf("%d engine rebuilds in the steady eco window, want 0: %v", n, s.Engines())
 	}
 }

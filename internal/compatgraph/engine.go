@@ -33,6 +33,7 @@ package compatgraph
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -546,7 +547,7 @@ func (e *Engine) nodePhaseDelta(res *sta.Results, opts compat.Options,
 			ns.dirtyOrd = append(ns.dirtyOrd, e.ordOf[id])
 		}
 	} else {
-		sort.Slice(addedIDs, func(a, b int) bool { return addedIDs[a] < addedIDs[b] })
+		slices.Sort(addedIDs)
 		n := len(e.order) - len(removedSet) + len(addedIDs)
 		ns.order = make([]netlist.InstID, 0, n)
 		ns.infos = make([]*compat.RegInfo, 0, n)
@@ -830,7 +831,7 @@ func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState)
 					}
 					r.cand = append(r.cand, j)
 				})
-				sort.Slice(r.cand, func(a, b int) bool { return r.cand[a] < r.cand[b] })
+				slices.Sort(r.cand)
 				oldA := e.nodes[order[i]]
 				for _, j := range r.cand {
 					var hadEdge bool

@@ -18,7 +18,7 @@ package cts
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -83,8 +83,8 @@ type Tree struct {
 // floating-point capacitance sums — independent of connection history,
 // which is what lets the retained Engine reproduce Build's result exactly.
 func collectSinks(d *netlist.Design, rootNet *netlist.Net) []planSink {
-	ids := append([]netlist.PinID(nil), rootNet.Sinks...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Clone(rootNet.Sinks)
+	slices.Sort(ids)
 	sinks := make([]planSink, len(ids))
 	for i, pid := range ids {
 		p := d.Pin(pid)

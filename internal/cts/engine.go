@@ -2,8 +2,7 @@ package cts
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -612,23 +611,6 @@ func (e *Engine) relegalize() {
 	}
 }
 
-// sinksKey is a canonical (order-independent) fingerprint of a pin-ID set,
-// used to match plan clusters against retained nodes. Empty sets get the
-// empty key and are never matched.
-func sinksKey(ids []netlist.PinID) string {
-	if len(ids) == 0 {
-		return ""
-	}
-	s := append([]netlist.PinID(nil), ids...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	b := make([]byte, 0, len(s)*6)
-	for _, id := range s {
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
 // updateDomain repairs one domain's tree to equal a fresh Build of its
 // current sink set. sinkDirty reports that the edit record placed a
 // touched instance on one of the domain's nets; together with the repair's
@@ -660,7 +642,7 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 			collect(nd.net)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	var retained []*node
 	for _, lvl := range dom.levels {
@@ -691,16 +673,19 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 
 	// 2. Match plan clusters to retained nodes by current net membership.
 	// Levels are processed bottom-up so an internal cluster's member pin
-	// IDs (its children's in-pins) are concrete by the time it is keyed.
-	byKey := map[string]*node{}
+	// IDs (its children's in-pins) are concrete by the time it is matched.
+	// A pin sits on at most one net, so the only candidate for a cluster
+	// is the retained node whose net holds its first wanted pin; it holds
+	// exactly the wanted set when it has len(want) sinks, all of them
+	// wanted.
+	nodeOf := make(map[netlist.NetID]*node, len(retained))
 	for _, nd := range retained {
-		if k := sinksKey(nd.net.Sinks); k != "" {
-			byKey[k] = nd
-		}
+		nodeOf[nd.net.ID] = nd
 	}
-	used := map[*node]bool{}
+	used := make(map[*node]bool, len(retained))
 	poolIdx := 0
 	assigned := make([][]*node, len(p.levels))
+	wants := make([][][]netlist.PinID, len(p.levels))
 	desired := func(l, ci int) []netlist.PinID {
 		cl := &p.levels[l][ci]
 		out := make([]netlist.PinID, len(cl.members))
@@ -713,10 +698,25 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 		}
 		return out
 	}
+	holds := func(nd *node, want []netlist.PinID) bool {
+		if len(nd.net.Sinks) != len(want) {
+			return false
+		}
+		for _, pid := range want {
+			if d.Pin(pid).Net != nd.net.ID {
+				return false
+			}
+		}
+		return true
+	}
 	for l := range p.levels {
 		assigned[l] = make([]*node, len(p.levels[l]))
+		wants[l] = make([][]netlist.PinID, len(p.levels[l]))
 		for ci := range p.levels[l] {
-			if nd := byKey[sinksKey(desired(l, ci))]; nd != nil && !used[nd] {
+			want := desired(l, ci)
+			wants[l][ci] = want
+			nd := nodeOf[d.Pin(want[0]).Net]
+			if nd != nil && !used[nd] && holds(nd, want) {
 				assigned[l][ci] = nd
 				used[nd] = true
 			}
@@ -774,7 +774,7 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 		for ci := range p.levels[l] {
 			cl := &p.levels[l][ci]
 			nd := assigned[l][ci]
-			want := desired(l, ci)
+			want := wants[l][ci]
 			same := pinIDsEqual(nd.net.Sinks, want)
 			held := e.opts.RecenterThresholdDBU > 0 &&
 				nd.centroid.ManhattanDist(cl.centroid) <= e.opts.RecenterThresholdDBU

@@ -1,8 +1,9 @@
 package cts
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -100,10 +101,18 @@ const parallelClusterMin = 1024
 
 // clusterSinks recursively bisects the sinks along the longer bounding-box
 // axis until each cluster satisfies the fanout and capacitance limits.
-// This is the geometry of Build's original clustering; par levels of the
-// recursion may run both halves concurrently (the halves are disjoint
-// slices of a private copy, and the result is assembled positionally, so
-// the output is identical to the sequential run).
+// This is the geometry of Build's original clustering: every node sorts
+// its sinks along its axis (ties broken by the other coordinate, then by
+// ord) and hands the lower half to the left child. The sinks are sorted
+// only once, though, into one index order per axis; a split stably
+// partitions the other order by side, which leaves each child with both
+// orders of exactly its own sinks. Because ord is unique, the comparators
+// are total orders, so this yields the very sequences a per-node sort
+// would. A child's capacitance total is folded in its parent's axis order
+// and a leaf's members keep that order, so the float sums and the net sink
+// order equal the per-node sort's too. par levels of the recursion may
+// run both halves concurrently; the halves own disjoint index ranges, so
+// the output is identical to the sequential run.
 func clusterSinks(sinks []planSink, opts Options, par int) [][]planSink {
 	totalCap := 0.0
 	for _, s := range sinks {
@@ -112,48 +121,128 @@ func clusterSinks(sinks []planSink, opts Options, par int) [][]planSink {
 	if len(sinks) <= opts.MaxFanout && totalCap <= opts.MaxCap {
 		return [][]planSink{sinks}
 	}
-	pts := make([]geom.Point, len(sinks))
-	for i, s := range sinks {
-		pts[i] = s.pos
+	n := len(sinks)
+	b := &bisector{
+		sinks: sinks, opts: opts,
+		byX: make([]int32, n), byY: make([]int32, n), tmp: make([]int32, n),
+		left: make([]bool, n), start: make([]bool, n), out: make([]planSink, n),
 	}
-	bb := geom.BoundingBox(pts)
-	horizontal := bb.W() >= bb.H()
-	sorted := append([]planSink(nil), sinks...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := &sorted[i], &sorted[j]
-		if horizontal {
-			if a.pos.X != b.pos.X {
-				return a.pos.X < b.pos.X
-			}
-			if a.pos.Y != b.pos.Y {
-				return a.pos.Y < b.pos.Y
-			}
-		} else {
-			if a.pos.Y != b.pos.Y {
-				return a.pos.Y < b.pos.Y
-			}
-			if a.pos.X != b.pos.X {
-				return a.pos.X < b.pos.X
-			}
+	for i := range sinks {
+		b.byX[i] = int32(i)
+		b.byY[i] = int32(i)
+	}
+	slices.SortFunc(b.byX, func(i, j int32) int {
+		p, q := &sinks[i], &sinks[j]
+		if c := cmp.Compare(p.pos.X, q.pos.X); c != 0 {
+			return c
 		}
-		return a.ord < b.ord
+		if c := cmp.Compare(p.pos.Y, q.pos.Y); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.ord, q.ord)
 	})
-	mid := len(sorted) / 2
-	var left, right [][]planSink
-	if par > 0 && len(sorted) >= parallelClusterMin {
+	slices.SortFunc(b.byY, func(i, j int32) int {
+		p, q := &sinks[i], &sinks[j]
+		if c := cmp.Compare(p.pos.Y, q.pos.Y); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(p.pos.X, q.pos.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.ord, q.ord)
+	})
+	b.bisect(0, n, par)
+	var cls [][]planSink
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && !b.start[hi] {
+			hi++
+		}
+		cls = append(cls, b.out[lo:hi:hi])
+		lo = hi
+	}
+	return cls
+}
+
+// bisector is the working state of one clusterSinks call. byX and byY
+// hold sink indices in the two axis orders; over any recursion node's
+// range [lo, hi) both contain exactly that node's sinks. tmp is partition
+// scratch, left marks each sink's side of the current split, and out
+// receives the leaf clusters in left-to-right order, start[lo] marking
+// the first member of each.
+type bisector struct {
+	sinks    []planSink
+	opts     Options
+	byX, byY []int32
+	tmp      []int32
+	left     []bool
+	start    []bool
+	out      []planSink
+}
+
+// node finishes the range [lo, hi) as one cluster when it satisfies the
+// limits and bisects it otherwise. cur is the parent's axis order, which
+// fixes both the capacitance summation order and the member order.
+func (b *bisector) node(lo, hi int, cur []int32, par int) {
+	totalCap := 0.0
+	for _, i := range cur[lo:hi] {
+		totalCap += b.sinks[i].cap
+	}
+	if hi-lo <= b.opts.MaxFanout && totalCap <= b.opts.MaxCap {
+		b.start[lo] = true
+		for k, i := range cur[lo:hi] {
+			b.out[lo+k] = b.sinks[i]
+		}
+		return
+	}
+	b.bisect(lo, hi, par)
+}
+
+// bisect splits the range [lo, hi) at the median of its longer
+// bounding-box axis and recurses into both halves.
+func (b *bisector) bisect(lo, hi int, par int) {
+	first := b.sinks[b.byX[lo]].pos
+	bb := geom.Rect{Lo: first, Hi: first}
+	for _, i := range b.byX[lo+1 : hi] {
+		p := b.sinks[i].pos
+		bb.Lo.X, bb.Hi.X = min(bb.Lo.X, p.X), max(bb.Hi.X, p.X)
+		bb.Lo.Y, bb.Hi.Y = min(bb.Lo.Y, p.Y), max(bb.Hi.Y, p.Y)
+	}
+	axis, other := b.byX, b.byY
+	if bb.W() < bb.H() {
+		axis, other = b.byY, b.byX
+	}
+	mid := lo + (hi-lo)/2
+	for _, i := range axis[lo:mid] {
+		b.left[i] = true
+	}
+	for _, i := range axis[mid:hi] {
+		b.left[i] = false
+	}
+	l, r := lo, mid
+	for _, i := range other[lo:hi] {
+		if b.left[i] {
+			b.tmp[l] = i
+			l++
+		} else {
+			b.tmp[r] = i
+			r++
+		}
+	}
+	copy(other[lo:hi], b.tmp[lo:hi])
+	if par > 0 && hi-lo >= parallelClusterMin {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			left = clusterSinks(sorted[:mid], opts, par-1)
+			b.node(lo, mid, axis, par-1)
 		}()
-		right = clusterSinks(sorted[mid:], opts, par-1)
+		b.node(mid, hi, axis, par-1)
 		wg.Wait()
 	} else {
-		left = clusterSinks(sorted[:mid], opts, 0)
-		right = clusterSinks(sorted[mid:], opts, 0)
+		b.node(lo, mid, axis, 0)
+		b.node(mid, hi, axis, 0)
 	}
-	return append(left, right...)
 }
 
 func centroidOf(cl []planSink) geom.Point {

@@ -33,6 +33,7 @@ func (d *Design) addInst(name string, kind InstKind, pos geom.Point) (*Inst, err
 		GateGroup: -1, ScanPartition: -1,
 	}
 	d.insts = append(d.insts, in)
+	d.liveInsts++
 	d.nameToInst[name] = in.ID
 	return in, nil
 }

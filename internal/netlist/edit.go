@@ -17,6 +17,7 @@ func (d *Design) RemoveInst(in *Inst) {
 		d.Disconnect(d.pins[pid])
 	}
 	in.dead = true
+	d.liveInsts--
 	delete(d.nameToInst, in.Name)
 	d.noteTouch(in.ID)
 }

@@ -254,6 +254,8 @@ type Design struct {
 	pins  []*Pin
 
 	nameToInst map[string]InstID
+	// liveInsts counts the instances not yet removed.
+	liveInsts int
 
 	edits editLog
 }
@@ -271,15 +273,16 @@ func NewDesign(name string, core geom.Rect, library *lib.Library) *Design {
 }
 
 // NumInsts returns the number of live instances.
-func (d *Design) NumInsts() int {
-	n := 0
-	for _, in := range d.insts {
-		if !in.dead {
-			n++
-		}
-	}
-	return n
-}
+func (d *Design) NumInsts() int { return d.liveInsts }
+
+// InstSpace returns an exclusive upper bound on every InstID ever issued
+// by the design (including removed instances), for sizing InstID-indexed
+// slices.
+func (d *Design) InstSpace() int { return len(d.insts) }
+
+// NetSpace returns an exclusive upper bound on every NetID ever issued by
+// the design (including removed nets), for sizing NetID-indexed slices.
+func (d *Design) NetSpace() int { return len(d.nets) }
 
 // NumNets returns the number of live nets.
 func (d *Design) NumNets() int {
@@ -510,17 +513,24 @@ func (d *Design) PinPos(p *Pin) geom.Point {
 // NetBBox returns the bounding box over all connected pins of n; ok is
 // false for nets with no connected pins.
 func (d *Design) NetBBox(n *Net) (geom.Rect, bool) {
-	var pts []geom.Point
+	var bb geom.Rect
+	ok := false
+	add := func(pid PinID) {
+		p := d.PinPos(d.pins[pid])
+		if !ok {
+			bb, ok = geom.Rect{Lo: p, Hi: p}, true
+			return
+		}
+		bb.Lo.X, bb.Hi.X = min(bb.Lo.X, p.X), max(bb.Hi.X, p.X)
+		bb.Lo.Y, bb.Hi.Y = min(bb.Lo.Y, p.Y), max(bb.Hi.Y, p.Y)
+	}
 	if n.Driver != NoID {
-		pts = append(pts, d.PinPos(d.pins[n.Driver]))
+		add(n.Driver)
 	}
 	for _, s := range n.Sinks {
-		pts = append(pts, d.PinPos(d.pins[s]))
+		add(s)
 	}
-	if len(pts) == 0 {
-		return geom.Rect{}, false
-	}
-	return geom.BoundingBox(pts), true
+	return bb, ok
 }
 
 // NetHPWL returns the half-perimeter wirelength of n in DBU.

@@ -1,6 +1,9 @@
 package netlist
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -435,6 +438,87 @@ func TestTotalAreaAndCounts(t *testing.T) {
 	}
 	if d.NumInsts() != 5 { // 4 ports + 1 MBR
 		t.Fatalf("NumInsts = %d want 5", d.NumInsts())
+	}
+}
+
+// TestNumInstsTracksLiveCount checks the live-instance counter against a
+// walk over every instance after random adds, removes, merges and splits,
+// and after a JSON round trip.
+func TestNumInstsTracksLiveCount(t *testing.T) {
+	walk := func(d *Design) int {
+		n := 0
+		d.Insts(func(*Inst) { n++ })
+		return n
+	}
+	d, r1, _ := buildPair(t)
+	clk, rst := d.Net(d.ClockNet(r1)), d.Net(d.FindPin(r1, PinReset, 0).Net)
+	rng := rand.New(rand.NewSource(7))
+	var ops [4]int
+	for step := 0; step < 400; step++ {
+		regs := d.Registers()
+		switch op := rng.Intn(4); {
+		case op == 0 || len(regs) < 2:
+			r, err := d.AddRegister(fmt.Sprintf("add%d", step), cellOf(t, 1),
+				geom.Point{X: rng.Int63n(90000), Y: 1200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Connect(d.ClockPin(r), clk)
+			d.Connect(d.FindPin(r, PinReset, 0), rst)
+			ip, err := d.AddPort(fmt.Sprintf("in%d", step), true, geom.Point{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dn := d.AddNet(fmt.Sprintf("d%d", step), false)
+			d.Connect(d.OutPin(ip), dn)
+			d.Connect(d.DPin(r, 0), dn)
+			ops[0]++
+		case op == 1:
+			d.RemoveInst(regs[rng.Intn(len(regs))])
+			ops[1]++
+		case op == 2:
+			a, b := regs[rng.Intn(len(regs))], regs[rng.Intn(len(regs))]
+			if a == b || a.Bits()+b.Bits() > 4 {
+				continue
+			}
+			cells := testLib.CellsOfWidth(testClass(), a.Bits()+b.Bits())
+			if len(cells) == 0 {
+				continue
+			}
+			if _, err := d.MergeRegisters([]*Inst{a, b}, cells[0],
+				fmt.Sprintf("m%d", step), a.Pos); err != nil {
+				t.Fatal(err)
+			}
+			ops[2]++
+		default:
+			r := regs[rng.Intn(len(regs))]
+			if r.Bits() < 2 {
+				continue
+			}
+			if _, err := d.SplitRegister(r, cellOf(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			ops[3]++
+		}
+		if got, want := d.NumInsts(), walk(d); got != want {
+			t.Fatalf("step %d: NumInsts = %d, walk counts %d", step, got, want)
+		}
+	}
+	for k, n := range ops {
+		if n == 0 {
+			t.Fatalf("op %d (add/remove/merge/split) never ran: %v", k, ops)
+		}
+	}
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := ReadJSON(&buf, testLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rd.NumInsts(), walk(rd); got != want || got != d.NumInsts() {
+		t.Fatalf("after round trip: NumInsts = %d, walk counts %d, source has %d", got, want, d.NumInsts())
 	}
 }
 

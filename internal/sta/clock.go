@@ -13,45 +13,57 @@ import (
 // is recomputed from the live netlist on every Run: its cost is linear in
 // the clock network (memoized per net), which keeps incremental runs
 // correct under any clock-side edit (CTS teardown, buffer moves, mode
-// switches) without per-edit invalidation bookkeeping.
-func (e *Engine) clockArrivals() (map[netlist.InstID]float64, error) {
+// switches) without per-edit invalidation bookkeeping. It starts a new
+// clock pass (clkRun), lists every live register in regs (ascending ID)
+// and leaves its arrival in clkArr.
+func (e *Engine) clockArrivals() error {
 	d := e.d
-	arr := map[netlist.InstID]float64{}
+	e.clkRun++
+	run := e.clkRun
+	ni := d.InstSpace()
+	e.clkArr = resizeFloats(e.clkArr, ni)
+	e.effClk = grow(e.effClk, ni)
+	e.effRun = grow(e.effRun, ni)
+	e.regs = e.regs[:0]
 	if e.ideal {
 		d.Insts(func(in *netlist.Inst) {
 			if in.Kind == netlist.KindReg {
-				arr[in.ID] = 0
+				e.clkArr[in.ID] = 0
+				e.regs = append(e.regs, in.ID)
 			}
 		})
-		return arr, nil
+		return nil
 	}
+	e.netArr = grow(e.netArr, d.NetSpace())
+	e.netRun = grow(e.netRun, d.NetSpace())
 
 	// netArrival computes arrival at a clock net's driver output,
 	// memoized; ideal (0) at roots.
-	memo := map[netlist.NetID]float64{}
+	memo := func(id netlist.NetID, v float64) float64 {
+		e.netArr[id] = v
+		e.netRun[id] = run
+		return v
+	}
 	var netArrival func(id netlist.NetID, depth int) (float64, error)
 	netArrival = func(id netlist.NetID, depth int) (float64, error) {
-		if v, ok := memo[id]; ok {
-			return v, nil
+		if e.netRun[id] == run {
+			return e.netArr[id], nil
 		}
 		if depth > 10000 {
 			return 0, fmt.Errorf("sta: clock network loop on net %d", id)
 		}
 		n := d.Net(id)
 		if n == nil || n.Driver == netlist.NoID {
-			memo[id] = 0 // ideal clock root
-			return 0, nil
+			return memo(id, 0), nil // ideal clock root
 		}
 		drv := d.Pin(n.Driver)
 		in := d.Inst(drv.Inst)
 		if in == nil {
-			memo[id] = 0
-			return 0, nil
+			return memo(id, 0), nil
 		}
 		switch in.Kind {
 		case netlist.KindPort:
-			memo[id] = 0
-			return 0, nil
+			return memo(id, 0), nil
 		case netlist.KindClockBuf, netlist.KindClockGate:
 			// Arrival at the buffer input net + buffer delay.
 			var inNet netlist.NetID = netlist.NoID
@@ -85,12 +97,9 @@ func (e *Engine) clockArrivals() (map[netlist.InstID]float64, error) {
 				base = b
 			}
 			load := d.NetLoadCap(n)
-			v := base + in.Comb.Intrinsic + in.Comb.DriveRes*load
-			memo[id] = v
-			return v, nil
+			return memo(id, base+in.Comb.Intrinsic+in.Comb.DriveRes*load), nil
 		default:
-			memo[id] = 0
-			return 0, nil
+			return memo(id, 0), nil
 		}
 	}
 
@@ -99,9 +108,10 @@ func (e *Engine) clockArrivals() (map[netlist.InstID]float64, error) {
 		if in.Kind != netlist.KindReg || firstErr != nil {
 			return
 		}
+		e.regs = append(e.regs, in.ID)
 		cp := d.ClockPin(in)
 		if cp == nil || cp.Net == netlist.NoID {
-			arr[in.ID] = 0
+			e.clkArr[in.ID] = 0
 			return
 		}
 		base, err := netArrival(cp.Net, 0)
@@ -115,9 +125,9 @@ func (e *Engine) clockArrivals() (map[netlist.InstID]float64, error) {
 			wire = d.Timing.WireDelayPerDBU *
 				float64(d.PinPos(d.Pin(n.Driver)).ManhattanDist(d.PinPos(cp)))
 		}
-		arr[in.ID] = base + wire
+		e.clkArr[in.ID] = base + wire
 	})
-	return arr, firstErr
+	return firstErr
 }
 
 // netSinkPosOnInst returns the position of the net's sink pin on the given

@@ -71,9 +71,20 @@ func (e *Engine) prepare() (fwd, bwd *worklist) {
 		e.bwdBuckets[l] = e.bwdBuckets[l][:0]
 	}
 	e.slackDirty = e.slackDirty[:0]
+	e.regMark = grow(e.regMark, e.d.InstSpace())
+	e.dirtyRegs = e.dirtyRegs[:0]
 	fwd = &worklist{g: e.g, buckets: e.fwdBuckets, queued: e.fwdQueued, gen: e.gen}
 	bwd = &worklist{g: e.g, buckets: e.bwdBuckets, queued: e.bwdQueued, gen: e.gen}
 	return fwd, bwd
+}
+
+// markRegDirty queues a register for re-seeding (launch seeds and endpoint
+// required times) in this incremental run.
+func (e *Engine) markRegDirty(id netlist.InstID) {
+	if e.regMark[id] != e.gen {
+		e.regMark[id] = e.gen
+		e.dirtyRegs = append(e.dirtyRegs, id)
+	}
 }
 
 func (e *Engine) markSlackDirty(v int32) {
@@ -89,21 +100,20 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 	d, g := e.d, e.g
 	fwd, bwd := e.prepare()
 
-	// 1. Clock arrival + skew diff → registers needing re-seed.
-	clk, err := e.clockArrivals()
-	if err != nil {
+	// 1. Clock arrival + skew diff → registers needing re-seed. A register
+	// the previous pass did not time is new and always dirty.
+	prev := e.clkRun
+	if err := e.clockArrivals(); err != nil {
 		return err
 	}
-	dirtyRegs := map[netlist.InstID]bool{}
-	newEff := make(map[netlist.InstID]float64, len(clk))
-	for id, v := range clk {
-		eff := v + e.skew[id]
-		newEff[id] = eff
-		if old, ok := e.effClk[id]; !ok || old != eff {
-			dirtyRegs[id] = true
+	for _, id := range e.regs {
+		eff := e.clkArr[id] + e.skew[id]
+		if e.effRun[id] != prev || e.effClk[id] != eff {
+			e.markRegDirty(id)
 		}
+		e.effClk[id] = eff
+		e.effRun[id] = e.clkRun
 	}
-	e.effClk = newEff
 
 	// 2. Touched instances → pins whose in-arc delays may have changed.
 	var marked []int32
@@ -119,7 +129,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			continue // removed without ever being connected
 		}
 		if in.Kind == netlist.KindReg {
-			dirtyRegs[id] = true
+			e.markRegDirty(id)
 		}
 		for _, pid := range in.Pins {
 			mark(pid)
@@ -147,12 +157,12 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			// A register launch pin whose net geometry/caps changed: the
 			// seed's load term moved even though the register itself may
 			// be untouched.
-			dirtyRegs[p.Inst] = true
+			e.markRegDirty(p.Inst)
 		}
 		e.recomputeInArcDelays(v, fwd, bwd)
 	}
 	period := d.Timing.ClockPeriod
-	for id := range dirtyRegs {
+	for _, id := range e.dirtyRegs {
 		in := d.Inst(id)
 		if in == nil {
 			continue

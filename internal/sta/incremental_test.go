@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,37 +10,67 @@ import (
 	"repro/internal/netlist"
 )
 
-// sameResults reports whether two snapshots are bit-identical (exact float
-// equality — the incremental path promises byte-identity, not tolerance).
-func sameResults(t *testing.T, got, want *Results) {
+// timing is everything one run computed: the returned snapshot plus the
+// per-pin arrival/required times and per-register clock arrivals, read
+// through the engine accessors right after the run.
+type timing struct {
+	res      *Results
+	arr, req []float64
+	clk      map[netlist.InstID]float64
+}
+
+// runTiming runs the engine and captures its full state.
+func runTiming(t *testing.T, d *netlist.Design, e *Engine) timing {
 	t.Helper()
-	if len(got.Arrival) != len(want.Arrival) {
-		t.Fatalf("pin space differs: %d vs %d", len(got.Arrival), len(want.Arrival))
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Arrival {
-		if got.Arrival[i] != want.Arrival[i] {
-			t.Fatalf("arrival[%d] = %v want %v", i, got.Arrival[i], want.Arrival[i])
+	tm := timing{res: res, clk: map[netlist.InstID]float64{}}
+	for i := range res.Slack {
+		tm.arr = append(tm.arr, e.Arrival(netlist.PinID(i)))
+		tm.req = append(tm.req, e.Required(netlist.PinID(i)))
+	}
+	d.Insts(func(in *netlist.Inst) {
+		if a, ok := e.ClockArrival(in.ID); ok {
+			tm.clk[in.ID] = a
 		}
-		if got.Required[i] != want.Required[i] {
-			t.Fatalf("required[%d] = %v want %v", i, got.Required[i], want.Required[i])
+	})
+	return tm
+}
+
+// sameResults reports whether two runs are bit-identical (exact float
+// equality — the incremental path promises byte-identity, not tolerance).
+func sameResults(t *testing.T, got, want timing) {
+	t.Helper()
+	if len(got.res.Slack) != len(want.res.Slack) {
+		t.Fatalf("pin space differs: %d vs %d", len(got.res.Slack), len(want.res.Slack))
+	}
+	for i := range got.res.Slack {
+		if got.arr[i] != want.arr[i] {
+			t.Fatalf("arrival[%d] = %v want %v", i, got.arr[i], want.arr[i])
 		}
-		if got.Slack[i] != want.Slack[i] {
-			t.Fatalf("slack[%d] = %v want %v", i, got.Slack[i], want.Slack[i])
+		if got.req[i] != want.req[i] {
+			t.Fatalf("required[%d] = %v want %v", i, got.req[i], want.req[i])
+		}
+		if got.res.Slack[i] != want.res.Slack[i] {
+			t.Fatalf("slack[%d] = %v want %v", i, got.res.Slack[i], want.res.Slack[i])
 		}
 	}
-	if got.WNS != want.WNS || got.TNS != want.TNS ||
-		got.FailingEndpoints != want.FailingEndpoints ||
-		got.TotalEndpoints != want.TotalEndpoints {
+	g, w := got.res, want.res
+	if g.WNS != w.WNS || g.TNS != w.TNS ||
+		g.FailingEndpoints != w.FailingEndpoints ||
+		g.TotalEndpoints != w.TotalEndpoints {
 		t.Fatalf("summary differs: got WNS=%v TNS=%v fail=%d total=%d, want WNS=%v TNS=%v fail=%d total=%d",
-			got.WNS, got.TNS, got.FailingEndpoints, got.TotalEndpoints,
-			want.WNS, want.TNS, want.FailingEndpoints, want.TotalEndpoints)
+			g.WNS, g.TNS, g.FailingEndpoints, g.TotalEndpoints,
+			w.WNS, w.TNS, w.FailingEndpoints, w.TotalEndpoints)
 	}
-	if len(got.ClockArrival) != len(want.ClockArrival) {
-		t.Fatalf("clock arrival count differs: %d vs %d", len(got.ClockArrival), len(want.ClockArrival))
+	if len(got.clk) != len(want.clk) {
+		t.Fatalf("clock arrival count differs: %d vs %d", len(got.clk), len(want.clk))
 	}
-	for id, v := range want.ClockArrival {
-		if got.ClockArrival[id] != v {
-			t.Fatalf("clock arrival[%d] = %v want %v", id, got.ClockArrival[id], v)
+	for id, v := range want.clk {
+		if a, ok := got.clk[id]; !ok || a != v {
+			t.Fatalf("clock arrival[%d] = %v (present %v) want %v", id, a, ok, v)
 		}
 	}
 }
@@ -74,10 +105,7 @@ func TestIncrementalMatchesFullAfterParametricEdits(t *testing.T) {
 	}
 	e.SetSkew(r1.ID, 30)
 
-	got, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runTiming(t, d, e)
 	if s := e.Stats(); s.IncrementalRuns != 1 {
 		t.Fatalf("edit run did not take the incremental path: %+v", s)
 	}
@@ -87,27 +115,47 @@ func TestIncrementalMatchesFullAfterParametricEdits(t *testing.T) {
 
 	oracle := New(d)
 	oracle.SetSkew(r1.ID, 30)
-	want, err := oracle.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, got, want)
+	sameResults(t, got, runTiming(t, d, oracle))
 }
 
 func TestIncrementalNoEditsIsStable(t *testing.T) {
 	d, _, _ := pipeline(t)
 	e := New(d)
-	first, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runTiming(t, d, e)
+	second := runTiming(t, d, e)
 	sameResults(t, second, first)
 	if s := e.Stats(); s.FullBuilds != 1 || s.IncrementalRuns != 1 {
 		t.Fatalf("stats = %+v, want one full and one incremental run", s)
+	}
+}
+
+// TestHeldResultsSurviveIncrementalRun checks that a snapshot is a copy:
+// an incremental run that changes slacks must leave an earlier Results —
+// its slacks, WNS and TNS — as it was.
+func TestHeldResultsSurviveIncrementalRun(t *testing.T) {
+	d, r1, r2 := pipeline(t)
+	e := New(d)
+	held, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slack := slices.Clone(held.Slack)
+	wns, tns := held.WNS, held.TNS
+
+	d.MoveInst(r2, geom.Point{X: r2.Pos.X + 20000, Y: r2.Pos.Y + 8000})
+	e.SetSkew(r1.ID, -25)
+	next, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.LastKind != "incremental" {
+		t.Fatalf("edit run took the %q path, want incremental", s.LastKind)
+	}
+	if slices.Equal(next.Slack, slack) && next.WNS == wns && next.TNS == tns {
+		t.Fatal("the edits changed no slack; the test exercises nothing")
+	}
+	if !slices.Equal(held.Slack, slack) || held.WNS != wns || held.TNS != tns {
+		t.Fatalf("held snapshot changed: WNS %v→%v TNS %v→%v", wns, held.WNS, tns, held.TNS)
 	}
 }
 
@@ -137,18 +185,11 @@ func TestTimingSpecChangeForcesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Timing.ClockPeriod = 800 // direct field write: no epoch, caught by the spec snapshot
-	got, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runTiming(t, d, e)
 	if s := e.Stats(); s.FullBuilds != 2 {
 		t.Fatalf("stats = %+v, want Timing change to force a rebuild", s)
 	}
-	want, err := New(d).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, got, want)
+	sameResults(t, got, runTiming(t, d, New(d)))
 }
 
 func TestClockGateChainArrivals(t *testing.T) {
@@ -166,14 +207,11 @@ func TestClockGateChainArrivals(t *testing.T) {
 	d.Connect(d.FindPin(cg, netlist.PinData, 0), mid)
 	d.Connect(d.OutPin(cg), clkNet)
 
-	res, err := New(d).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prop := runTiming(t, d, New(d))
 	// Two stages of intrinsic delay is a hard floor for both registers.
 	floor := 2 * bufSpec.Intrinsic
 	for _, r := range []*netlist.Inst{r1, r2} {
-		if a := res.ClockArrival[r.ID]; a <= floor {
+		if a := prop.clk[r.ID]; a <= floor {
 			t.Fatalf("clock arrival at %s = %g, want > %g (two chained stages)", r.Name, a, floor)
 		}
 	}
@@ -181,13 +219,9 @@ func TestClockGateChainArrivals(t *testing.T) {
 	// Ideal mode ignores the whole chain.
 	e := New(d)
 	e.SetIdealClocks(true)
-	ideal, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ideal.ClockArrival[r1.ID] != 0 || ideal.ClockArrival[r2.ID] != 0 {
-		t.Fatalf("ideal-clock arrivals = %g, %g; want 0",
-			ideal.ClockArrival[r1.ID], ideal.ClockArrival[r2.ID])
+	ideal := runTiming(t, d, e)
+	if a1, a2 := ideal.clk[r1.ID], ideal.clk[r2.ID]; len(ideal.clk) != 2 || a1 != 0 || a2 != 0 {
+		t.Fatalf("ideal-clock arrivals = %v; want 0 at both registers", ideal.clk)
 	}
 }
 
@@ -221,17 +255,10 @@ func TestIdealEqualsPropagatedOnUndrivenClock(t *testing.T) {
 	// The pipeline fixture's clk net has no driver: propagated analysis
 	// treats it as an ideal root, so both modes must agree exactly.
 	d, _, _ := pipeline(t)
-	prop, err := New(d).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prop := runTiming(t, d, New(d))
 	e := New(d)
 	e.SetIdealClocks(true)
-	ideal, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, ideal, prop)
+	sameResults(t, runTiming(t, d, e), prop)
 }
 
 func TestCombinationalSelfLoopDetected(t *testing.T) {
@@ -265,18 +292,11 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	d, r1, _ := pipeline(t)
 	seq := New(d)
 	seq.SetWorkers(1)
-	want, err := seq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runTiming(t, d, seq)
 	for _, w := range []int{0, 2, 7} {
 		e := New(d)
 		e.SetWorkers(w)
-		got, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, got, want)
+		sameResults(t, runTiming(t, d, e), want)
 	}
 	_ = r1
 }

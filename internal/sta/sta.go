@@ -40,12 +40,15 @@ import (
 	"repro/internal/netlist"
 )
 
-// Results carries one timing analysis snapshot. Pin-indexed slices are
-// addressed by netlist.PinID.
+// Results carries one timing analysis snapshot: the per-pin slacks and the
+// endpoint statistics, which is all the flow's consumers read. It is a
+// copy, so it stays valid across later runs. Arrival and required times
+// and register clock arrivals are the engine's working state; read them
+// through the Engine accessors (Arrival, Required, ClockArrival) before
+// the next Run.
 type Results struct {
-	Arrival  []float64
-	Required []float64
-	Slack    []float64
+	// Slack is addressed by netlist.PinID.
+	Slack []float64
 
 	// WNS is the worst endpoint slack (0 when nothing fails and min slack
 	// is positive — we report the true minimum, which may be positive).
@@ -56,10 +59,6 @@ type Results struct {
 	FailingEndpoints int
 	// TotalEndpoints counts all checked endpoints.
 	TotalEndpoints int
-
-	// ClockArrival is the propagated clock arrival (including useful skew)
-	// at each register, keyed by instance ID.
-	ClockArrival map[netlist.InstID]float64
 }
 
 // PinSlack returns the slack at a pin (+Inf for unconstrained pins).
@@ -106,12 +105,26 @@ type Engine struct {
 	arr, req, slack []float64
 	seedArr         []float64 // launch seed per pin (negInf when unseeded)
 	endReq          []float64 // endpoint required per pin (+Inf when none)
-	effClk          map[netlist.InstID]float64
-	endpoints       []int32 // endpoint pins in deterministic check order
+	endpoints       []int32   // endpoint pins in deterministic check order
+
+	// Per-register clock state, indexed by InstID and stamped with the
+	// clock pass (clkRun) that wrote it. clockArrivals fills clkArr for
+	// the registers it lists in regs; effClk holds the effective (skewed)
+	// arrival of every register timed by the pass stamped in effRun, so a
+	// register timed by the latest run has effRun == clkRun. netArr/netRun
+	// memoize clock-net arrivals within one pass, indexed by NetID.
+	clkRun         uint32
+	regs           []netlist.InstID
+	clkArr, effClk []float64
+	effRun         []uint32
+	netArr         []float64
+	netRun         []uint32
 
 	// Scratch for incremental runs (generation-stamped marks).
 	gen                    uint32
 	pinMark, slackMark     []uint32
+	regMark                []uint32
+	dirtyRegs              []netlist.InstID
 	fwdQueued, bwdQueued   []uint32
 	fwdBuckets, bwdBuckets [][]int32
 	slackDirty             []int32
@@ -250,11 +263,9 @@ func (e *Engine) runFull(seq uint64) error {
 		e.endReq[i] = math.Inf(1)
 	}
 
-	clk, err := e.clockArrivals()
-	if err != nil {
+	if err := e.clockArrivals(); err != nil {
 		return err
 	}
-	e.effClk = make(map[netlist.InstID]float64, len(clk))
 	e.endpoints = e.endpoints[:0]
 	period := d.Timing.ClockPeriod
 
@@ -269,8 +280,9 @@ func (e *Engine) runFull(seq uint64) error {
 				e.endpoints = append(e.endpoints, int32(p.ID))
 			}
 		case netlist.KindReg:
-			eff := clk[in.ID] + e.skew[in.ID]
+			eff := e.clkArr[in.ID] + e.skew[in.ID]
 			e.effClk[in.ID] = eff
+			e.effRun[in.ID] = e.clkRun
 			e.seedRegister(in, eff, nil)
 			for b := 0; b < in.Bits(); b++ {
 				dp := d.DPin(in, b)
@@ -338,14 +350,8 @@ func slackOf(arr, req float64) float64 {
 // (the sum in TNS makes the order observable in the last bits).
 func (e *Engine) snapshot() *Results {
 	res := &Results{
-		Arrival:      append([]float64(nil), e.arr...),
-		Required:     append([]float64(nil), e.req...),
-		Slack:        append([]float64(nil), e.slack...),
-		ClockArrival: make(map[netlist.InstID]float64, len(e.effClk)),
-		WNS:          math.Inf(1),
-	}
-	for id, v := range e.effClk {
-		res.ClockArrival[id] = v
+		Slack: append([]float64(nil), e.slack...),
+		WNS:   math.Inf(1),
 	}
 	for _, pin := range e.endpoints {
 		if e.arr[pin] == negInf {
@@ -370,11 +376,39 @@ func (e *Engine) snapshot() *Results {
 	return res
 }
 
+// Arrival returns the latest run's arrival time at a pin (-MaxFloat64 for
+// pins no launch reaches). Like Required and ClockArrival it reads the
+// engine's working state, which the next Run overwrites; the pin must
+// exist in the analyzed design.
+func (e *Engine) Arrival(id netlist.PinID) float64 { return e.arr[id] }
+
+// Required returns the latest run's required time at a pin (+Inf for pins
+// no endpoint constrains).
+func (e *Engine) Required(id netlist.PinID) float64 { return e.req[id] }
+
+// ClockArrival returns the latest run's propagated clock arrival,
+// including useful skew, at a register. ok is false for instances the run
+// did not time as registers.
+func (e *Engine) ClockArrival(id netlist.InstID) (arr float64, ok bool) {
+	if int(id) >= len(e.effRun) || e.effRun[id] != e.clkRun {
+		return 0, false
+	}
+	return e.effClk[id], true
+}
+
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) >= n {
 		return s[:n]
 	}
 	return make([]float64, n)
+}
+
+// grow extends s to at least n elements, keeping its contents.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // RegDSlack returns the worst slack across the register's connected D pins

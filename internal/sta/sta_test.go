@@ -93,7 +93,7 @@ func TestPipelineArrivalsAndSlacks(t *testing.T) {
 	cell := r1.RegCell
 	nq1 := d.Net(d.QPin(r1, 0).Net)
 	aQ1 := cell.Intrinsic + cell.DriveRes*d.NetLoadCap(nq1)
-	if got := res.Arrival[d.QPin(r1, 0).ID]; math.Abs(got-aQ1) > 1e-9 {
+	if got := e.Arrival(d.QPin(r1, 0).ID); math.Abs(got-aQ1) > 1e-9 {
 		t.Fatalf("arrival(r1.Q) = %g want %g", got, aQ1)
 	}
 	// wire to buffer input
@@ -107,7 +107,7 @@ func TestPipelineArrivalsAndSlacks(t *testing.T) {
 	wire2 := d.Timing.WireDelayPerDBU *
 		float64(d.PinPos(d.OutPin(buf)).ManhattanDist(d.PinPos(d.DPin(r2, 0))))
 	wantArr := aQ1 + wire1 + bufDelay + wire2
-	if got := res.Arrival[d.DPin(r2, 0).ID]; math.Abs(got-wantArr) > 1e-9 {
+	if got := e.Arrival(d.DPin(r2, 0).ID); math.Abs(got-wantArr) > 1e-9 {
 		t.Fatalf("arrival(r2.D) = %g want %g", got, wantArr)
 	}
 	wantSlack := (d.Timing.ClockPeriod - r2.RegCell.Setup) - wantArr
@@ -217,12 +217,14 @@ func TestClockTreePropagation(t *testing.T) {
 	d.Connect(d.OutPin(cb), clkNet)
 
 	e := New(d)
-	res, err := e.Run()
-	if err != nil {
+	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a1 := res.ClockArrival[r1.ID]
-	a2 := res.ClockArrival[r2.ID]
+	a1, ok1 := e.ClockArrival(r1.ID)
+	a2, ok2 := e.ClockArrival(r2.ID)
+	if !ok1 || !ok2 {
+		t.Fatalf("registers without a clock arrival: %v %v", ok1, ok2)
+	}
 	if a1 <= 0 || a2 <= 0 {
 		t.Fatalf("clock arrivals must be positive after buffering: %g %g", a1, a2)
 	}

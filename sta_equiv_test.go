@@ -20,36 +20,64 @@ import (
 	"repro/internal/sta"
 )
 
-func sameSTAResults(t *testing.T, ctx string, got, want *sta.Results) {
+// staRun is everything one analysis computed: the returned snapshot plus
+// the per-pin arrival/required times and per-register clock arrivals,
+// read through the engine accessors right after the run.
+type staRun struct {
+	res      *sta.Results
+	arr, req []float64
+	clk      map[netlist.InstID]float64
+}
+
+func runSTA(t *testing.T, d *netlist.Design, e *sta.Engine) staRun {
 	t.Helper()
-	if len(got.Arrival) != len(want.Arrival) {
-		t.Fatalf("%s: pin space differs: %d vs %d", ctx, len(got.Arrival), len(want.Arrival))
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Arrival {
-		if got.Arrival[i] != want.Arrival[i] {
-			t.Fatalf("%s: arrival[%d] = %v want %v", ctx, i, got.Arrival[i], want.Arrival[i])
+	r := staRun{res: res, clk: map[netlist.InstID]float64{}}
+	for i := range res.Slack {
+		r.arr = append(r.arr, e.Arrival(netlist.PinID(i)))
+		r.req = append(r.req, e.Required(netlist.PinID(i)))
+	}
+	d.Insts(func(in *netlist.Inst) {
+		if a, ok := e.ClockArrival(in.ID); ok {
+			r.clk[in.ID] = a
 		}
-		if got.Required[i] != want.Required[i] {
-			t.Fatalf("%s: required[%d] = %v want %v", ctx, i, got.Required[i], want.Required[i])
+	})
+	return r
+}
+
+func sameSTAResults(t *testing.T, ctx string, got, want staRun) {
+	t.Helper()
+	if len(got.res.Slack) != len(want.res.Slack) {
+		t.Fatalf("%s: pin space differs: %d vs %d", ctx, len(got.res.Slack), len(want.res.Slack))
+	}
+	for i := range got.res.Slack {
+		if got.arr[i] != want.arr[i] {
+			t.Fatalf("%s: arrival[%d] = %v want %v", ctx, i, got.arr[i], want.arr[i])
 		}
-		if got.Slack[i] != want.Slack[i] {
-			t.Fatalf("%s: slack[%d] = %v want %v", ctx, i, got.Slack[i], want.Slack[i])
+		if got.req[i] != want.req[i] {
+			t.Fatalf("%s: required[%d] = %v want %v", ctx, i, got.req[i], want.req[i])
+		}
+		if got.res.Slack[i] != want.res.Slack[i] {
+			t.Fatalf("%s: slack[%d] = %v want %v", ctx, i, got.res.Slack[i], want.res.Slack[i])
 		}
 	}
-	if got.WNS != want.WNS || got.TNS != want.TNS ||
-		got.FailingEndpoints != want.FailingEndpoints ||
-		got.TotalEndpoints != want.TotalEndpoints {
+	g, w := got.res, want.res
+	if g.WNS != w.WNS || g.TNS != w.TNS ||
+		g.FailingEndpoints != w.FailingEndpoints ||
+		g.TotalEndpoints != w.TotalEndpoints {
 		t.Fatalf("%s: summary differs: got WNS=%v TNS=%v fail=%d/%d, want WNS=%v TNS=%v fail=%d/%d",
-			ctx, got.WNS, got.TNS, got.FailingEndpoints, got.TotalEndpoints,
-			want.WNS, want.TNS, want.FailingEndpoints, want.TotalEndpoints)
+			ctx, g.WNS, g.TNS, g.FailingEndpoints, g.TotalEndpoints,
+			w.WNS, w.TNS, w.FailingEndpoints, w.TotalEndpoints)
 	}
-	if len(got.ClockArrival) != len(want.ClockArrival) {
-		t.Fatalf("%s: clock arrival count differs: %d vs %d",
-			ctx, len(got.ClockArrival), len(want.ClockArrival))
+	if len(got.clk) != len(want.clk) {
+		t.Fatalf("%s: clock arrival count differs: %d vs %d", ctx, len(got.clk), len(want.clk))
 	}
-	for id, v := range want.ClockArrival {
-		if got.ClockArrival[id] != v {
-			t.Fatalf("%s: clock arrival[%d] = %v want %v", ctx, id, got.ClockArrival[id], v)
+	for id, v := range want.clk {
+		if a, ok := got.clk[id]; !ok || a != v {
+			t.Fatalf("%s: clock arrival[%d] = %v (present %v) want %v", ctx, id, a, ok, v)
 		}
 	}
 }
@@ -137,20 +165,13 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 						}
 					}
 
-					got, err := eng.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := runSTA(t, d, eng)
 					oracle := sta.New(d)
 					oracle.SetWorkers(workers)
 					for id, s := range skews {
 						oracle.SetSkew(id, s)
 					}
-					want, err := oracle.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameSTAResults(t, fmt.Sprintf("round %d", round), got, want)
+					sameSTAResults(t, fmt.Sprintf("round %d", round), got, runSTA(t, d, oracle))
 				}
 				if s := eng.Stats(); s.IncrementalRuns == 0 {
 					t.Fatalf("incremental path never engaged: %+v", s)
